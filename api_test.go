@@ -34,9 +34,6 @@ var apiGolden = []string{
 	"DefaultSimConfig",
 	"DesktopVM",
 	"Dial",
-	"DialMemServer",
-	"DialMemServerPool",
-	"DialMemServerResilient",
 	"DialOption",
 	"DialShard",
 	"EncodeImage",
@@ -204,8 +201,8 @@ func TestAPISurfaceGolden(t *testing.T) {
 
 // TestDialCoversEveryTransportShape asserts every client shape the
 // facade exports is reachable through the one Dial entry point — the
-// returned static type is always MemConn, and the concrete types behind
-// the deprecated entry points all satisfy it.
+// returned static type is always MemConn, and every concrete client
+// type satisfies it.
 func TestDialCoversEveryTransportShape(t *testing.T) {
 	// Compile-time: all four shapes are MemConns, so anything written
 	// against Dial's return type works against any of them.
@@ -259,16 +256,5 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 			}
 		}
 		conn.Close()
-	}
-
-	// The deprecated wrappers still hand back their concrete types.
-	if _, err := oasis.DialMemServer(addr.String(), secret, 0); err != nil {
-		t.Fatalf("deprecated DialMemServer: %v", err)
-	}
-	if _, err := oasis.DialMemServerResilient(addr.String(), secret, oasis.ResilienceConfig{}); err != nil {
-		t.Fatalf("deprecated DialMemServerResilient: %v", err)
-	}
-	if _, err := oasis.DialMemServerPool(addr.String(), secret, oasis.MemPoolConfig{Size: 2}); err != nil {
-		t.Fatalf("deprecated DialMemServerPool: %v", err)
 	}
 }

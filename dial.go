@@ -115,11 +115,11 @@ func WithReplicas(n int) DialOption {
 // PoolSize, Backends, Replicas — to the dial, so a daemon can hand its
 // flag-bound transport straight to Dial. The fields follow the
 // Transport contract exactly: PoolSize <= 1 keeps a single resilient
-// connection (the same shape the deprecated DialMemServerResilient
-// returns) rather than a one-lane pool, Backends selects the sharded
-// fabric with PoolSize as the per-backend pool width, and Replicas <= 0
-// takes the fabric default. PrefetchStreams and UploadStreams shape the
-// memtap/agent pipelines, not the connection, and are ignored here.
+// connection (the same shape WithResilience selects) rather than a
+// one-lane pool, Backends selects the sharded fabric with PoolSize as
+// the per-backend pool width, and Replicas <= 0 takes the fabric
+// default. PrefetchStreams and UploadStreams shape the memtap/agent
+// pipelines, not the connection, and are ignored here.
 func WithTransport(t Transport) DialOption {
 	return func(c *dialConfig) {
 		switch {
@@ -151,8 +151,7 @@ func WithTransport(t Transport) DialOption {
 //     is ignored, the backend list is the fabric.
 //
 // WithTLS and WithTimeout shape the underlying connections of any of
-// the four. Dial replaces DialMemServer, DialMemServerResilient and
-// DialMemServerPool, which remain as deprecated wrappers.
+// the four.
 func Dial(addr string, secret []byte, opts ...DialOption) (MemConn, error) {
 	var c dialConfig
 	for _, o := range opts {

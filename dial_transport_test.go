@@ -2,16 +2,14 @@ package oasis_test
 
 import (
 	"testing"
-	"time"
 
 	"oasis"
 )
 
 // TestTransportDialShapes pins the Transport → Dial contract against
-// the flagbind documentation and the deprecated wrappers: the same
-// transport configuration must select the same client shape whichever
-// entry point a caller uses, so legacy wrapper call sites and
-// flag-driven Dial call sites cannot drift apart.
+// the flagbind documentation: a flag-bound transport must select the
+// same client shape as the equivalent explicit Dial options, so
+// flag-driven and hand-written call sites cannot drift apart.
 func TestTransportDialShapes(t *testing.T) {
 	secret := []byte("transport-shape-test")
 	srv := oasis.NewMemServer(secret, nil)
@@ -28,9 +26,8 @@ func TestTransportDialShapes(t *testing.T) {
 	defer srv2.Close()
 
 	// PoolSize <= 1 "keeps a single resilient connection" (the
-	// flagbind contract): Dial must return the same shape the
-	// deprecated DialMemServerResilient wrapper does, not a one-lane
-	// pool.
+	// flagbind contract): the same shape WithResilience selects, not a
+	// one-lane pool.
 	conn, err := oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{PoolSize: 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -39,13 +36,8 @@ func TestTransportDialShapes(t *testing.T) {
 		t.Fatalf("Transport{PoolSize: 1} dialed a %T, want the single resilient connection", conn)
 	}
 	conn.Close()
-	legacy, err := oasis.DialMemServerResilient(addr.String(), secret, oasis.ResilienceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
 
-	// PoolSize > 1 pools, exactly like the deprecated pool wrapper.
+	// PoolSize > 1 pools, exactly like WithPool.
 	conn, err = oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{PoolSize: 3}))
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +46,9 @@ func TestTransportDialShapes(t *testing.T) {
 		t.Fatalf("Transport{PoolSize: 3} dialed a %T, want a client pool", conn)
 	}
 	conn.Close()
-	pool, err := oasis.DialMemServerPool(addr.String(), secret, oasis.MemPoolConfig{Size: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
 
-	// A zero transport keeps the bare connection, the shape the
-	// deprecated DialMemServer wrapper returns.
+	// A zero transport keeps the bare connection, the shape Dial with
+	// no options returns.
 	conn, err = oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{}))
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +57,6 @@ func TestTransportDialShapes(t *testing.T) {
 		t.Fatalf("zero Transport dialed a %T, want the bare client", conn)
 	}
 	conn.Close()
-	bare, err := oasis.DialMemServer(addr.String(), secret, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare.Close()
 
 	// A sharded transport selects the fabric and propagates the backend
 	// list and replica count into the ring; PoolSize sizes the

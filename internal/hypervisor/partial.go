@@ -7,8 +7,14 @@ import (
 	"sync"
 
 	"oasis/internal/pagestore"
+	"oasis/internal/telemetry"
 	"oasis/internal/units"
 )
+
+// coalescedFaults is the process-wide count of faults that joined
+// another fault's in-flight fetch of the same page (see OBSERVABILITY.md).
+var coalescedFaults = telemetry.Default.Counter("oasis_hypervisor_faults_coalesced_total",
+	"Page faults coalesced onto an in-flight fetch of the same PFN instead of calling the pager.")
 
 // Pager retrieves missing pages for a partial VM. In the prototype this is
 // the per-VM memtap user process fetching from the memory server; tests
@@ -44,8 +50,23 @@ type PartialVM struct {
 	// the home's copy already matches them.
 	written map[pagestore.PFN]struct{}
 
+	// fetching holds each absent page's in-flight fault: the first Touch
+	// (the leader) registers it and calls the pager; concurrent Touches
+	// of the same PFN wait on it and share its error. An entry lives
+	// until its page is installed (or the fetch failed), so no Touch can
+	// slip between fetch and install and fetch the page a second time.
+	fetching map[pagestore.PFN]*fetchCall
+
 	faults       int64
+	coalesced    int64
 	fetchedBytes units.Bytes
+}
+
+// fetchCall is one in-flight fault fetch; done closes once the page is
+// installed or err is set.
+type fetchCall struct {
+	done chan struct{}
+	err  error
 }
 
 // NewPartialVM creates a partial VM from a descriptor. Only the page-table
@@ -57,12 +78,13 @@ func NewPartialVM(desc *Descriptor, pager Pager) (*PartialVM, error) {
 	}
 	npages := desc.Alloc.Pages()
 	vm := &PartialVM{
-		desc:    desc,
-		pager:   pager,
-		mem:     pagestore.NewImage(desc.Alloc),
-		present: make([]uint64, (npages+63)/64),
-		chunks:  make(map[int64]struct{}),
-		written: make(map[pagestore.PFN]struct{}),
+		desc:     desc,
+		pager:    pager,
+		mem:      pagestore.NewImage(desc.Alloc),
+		present:  make([]uint64, (npages+63)/64),
+		chunks:   make(map[int64]struct{}),
+		written:  make(map[pagestore.PFN]struct{}),
+		fetching: make(map[pagestore.PFN]*fetchCall),
 	}
 	// Page-table frames arrive with the descriptor.
 	for i := int64(0); i < desc.PageTablePages && i < npages; i++ {
@@ -94,14 +116,15 @@ func (vm *PartialVM) markPresent(pfn pagestore.PFN) {
 // The lock is NOT held across the pager call: a fetch crosses the network
 // and holding vm.mu for its duration would serialise every fault of the VM
 // behind one page's round trip (and deadlock against a prefetcher
-// installing into the same VM). Instead the fault path is
-// check → fetch unlocked → recheck-and-install. Two vCPUs faulting the
-// same page may therefore both reach the pager; the memtap's single-flight
-// layer collapses those into one remote fetch, and whichever Touch
-// reacquires the lock first installs. The loser observes the page present
-// and keeps the newer state, counting nothing — so faults and fetchedBytes
-// track pages actually installed by the fault path, never double-counting
-// a PFN.
+// installing into the same VM), so distinct pages fault in parallel.
+// Faults on the same page are single-flight: under vm.mu the first Touch
+// of an absent page registers an in-flight entry and fetches unlocked;
+// Touches that find the entry wait for it and return the leader's error
+// (a failed fetch is tried once, not once per waiter). The leader relocks,
+// installs unless a guest write or prefetch install got there first, and
+// only then clears the entry — so faults and fetchedBytes count each page
+// the fault path installed exactly once, and the pager sees one call per
+// in-flight window.
 func (vm *PartialVM) Touch(pfn pagestore.PFN) (faulted bool, err error) {
 	if int64(pfn) >= vm.desc.Alloc.Pages() {
 		return false, fmt.Errorf("hypervisor: vm %04d: pfn %d out of range", vm.desc.VMID, pfn)
@@ -111,11 +134,26 @@ func (vm *PartialVM) Touch(pfn pagestore.PFN) (faulted bool, err error) {
 		vm.mu.Unlock()
 		return false, nil
 	}
-	vm.mu.Unlock()
-	page, err := vm.pager.FetchPage(vm.desc.VMID, pfn)
-	if err != nil {
-		return true, fmt.Errorf("hypervisor: vm %04d: fetch pfn %d: %w", vm.desc.VMID, pfn, err)
+	if c, ok := vm.fetching[pfn]; ok {
+		vm.coalesced++
+		vm.mu.Unlock()
+		coalescedFaults.Inc()
+		<-c.done
+		return true, c.err
 	}
+	c := &fetchCall{done: make(chan struct{})}
+	vm.fetching[pfn] = c
+	vm.mu.Unlock()
+
+	c.err = vm.fetchAndInstall(pfn)
+	close(c.done)
+	return true, c.err
+}
+
+// fetchAndInstall is the single-flight leader's path: fetch unlocked,
+// then install and clear the in-flight entry under one lock.
+func (vm *PartialVM) fetchAndInstall(pfn pagestore.PFN) error {
+	page, err := vm.pager.FetchPage(vm.desc.VMID, pfn)
 	if pagestore.IsSharedZero(page) {
 		// The pager handed back the decoder's shared zero page: install
 		// the elided form instead of scanning and copying 4 KiB of zeros.
@@ -123,16 +161,20 @@ func (vm *PartialVM) Touch(pfn pagestore.PFN) (faulted bool, err error) {
 	}
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
+	delete(vm.fetching, pfn)
+	if err != nil {
+		return fmt.Errorf("hypervisor: vm %04d: fetch pfn %d: %w", vm.desc.VMID, pfn, err)
+	}
 	if vm.isPresent(pfn) {
-		return true, nil // raced with another fault, install, or guest write
+		return nil // raced with a prefetch install or a guest write
 	}
 	if err := vm.mem.Write(pfn, page); err != nil {
-		return true, err
+		return err
 	}
 	vm.markPresent(pfn)
 	vm.faults++
 	vm.fetchedBytes += units.PageSize
-	return true, nil
+	return nil
 }
 
 // Write emulates a guest write access: the page becomes present without a
@@ -233,6 +275,14 @@ func (vm *PartialVM) Faults() int64 {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	return vm.faults
+}
+
+// CoalescedFaults returns how many faults joined another fault's
+// in-flight fetch of the same page instead of calling the pager.
+func (vm *PartialVM) CoalescedFaults() int64 {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	return vm.coalesced
 }
 
 // FetchedBytes returns the total bytes fetched on demand.

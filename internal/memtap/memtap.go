@@ -12,12 +12,13 @@
 // agent can force-promote it home from the last good image (§4.4.4)
 // instead of wedging every guest fault.
 //
-// The fault path is concurrent: the hypervisor no longer serialises
-// faults behind one lock, so several vCPUs may fault simultaneously.
-// Memtap deduplicates concurrent faults on the same PFN (single-flight:
-// one remote fetch satisfies every waiter) and can spread traffic over a
-// connection pool (Options.PoolSize) with pipelined prefetch batches
-// (Options.PrefetchStreams); see DESIGN.md §9 for the concurrency model.
+// The fault path is concurrent: several vCPUs may fault at once, and
+// memtap fetches each faulted page independently, so distinct pages are
+// fetched in parallel. Faults on the same page never reach memtap twice
+// at once: hypervisor.PartialVM coalesces them before the pager. Memtap
+// can spread traffic over a connection pool (Options.PoolSize) with
+// pipelined prefetch batches (Options.PrefetchStreams); see DESIGN.md §9
+// for the concurrency model.
 package memtap
 
 import (
@@ -47,7 +48,6 @@ var tel = struct {
 	latency     *telemetry.Histogram
 	prefetched  *telemetry.Counter
 	batches     *telemetry.Counter
-	dedup       *telemetry.Counter
 	inflight    *telemetry.Gauge
 	reorder     *telemetry.Counter
 	zeroElided  *telemetry.Counter
@@ -64,10 +64,8 @@ var tel = struct {
 		"Pages installed by PrefetchRemaining (partial→full conversion)."),
 	batches: telemetry.Default.Counter("oasis_memtap_prefetch_batches_total",
 		"GetPages batches issued by PrefetchRemaining."),
-	dedup: telemetry.Default.Counter("oasis_memtap_singleflight_dedup_total",
-		"Concurrent faults coalesced onto an already in-flight fetch of the same PFN."),
 	inflight: telemetry.Default.Gauge("oasis_memtap_inflight_faults",
-		"Remote page fetches currently in flight (single-flight leaders)."),
+		"Remote page fetches currently in flight (one per faulting PFN; same-PFN faults are coalesced before the pager)."),
 	reorder: telemetry.Default.Counter("oasis_memtap_prefetch_reorder_total",
 		"Prefetch batches issued out of linear PFN order to follow the guest's recent fault locality."),
 	zeroElided: telemetry.Default.Counter("oasis_client_zero_pages_elided_total",
@@ -146,14 +144,6 @@ type Options struct {
 	Replicas int
 }
 
-// fetchCall is one in-flight remote fetch; followers wait on done and
-// share the leader's result.
-type fetchCall struct {
-	done chan struct{}
-	page []byte
-	err  error
-}
-
 // Memtap services page faults for one partial VM from one memory server.
 // It is safe for concurrent use.
 type Memtap struct {
@@ -168,16 +158,9 @@ type Memtap struct {
 	// update these on the hot path without sharing a lock.
 	faults atomic.Int64
 	bytes  atomic.Int64
-	dedup  atomic.Int64
 
 	latMu   sync.Mutex
 	latency metrics.Sample
-
-	// inflight implements single-flight deduplication per PFN: the first
-	// fault (the leader) fetches; concurrent faults on the same PFN wait
-	// for its result instead of issuing duplicate remote fetches.
-	sfMu     sync.Mutex
-	inflight map[pagestore.PFN]*fetchCall
 
 	prefetchStreams atomic.Int32
 
@@ -224,11 +207,7 @@ func (m *Memtap) PrefetchReorders() int64 { return m.reorders.Load() }
 func (m *Memtap) ZeroPagesElided() int64 { return m.zeroElided.Load() }
 
 func newMemtap(vmid pagestore.VMID, client PageClient) *Memtap {
-	return &Memtap{
-		vmid:     vmid,
-		client:   client,
-		inflight: make(map[pagestore.PFN]*fetchCall),
-	}
+	return &Memtap{vmid: vmid, client: client}
 }
 
 // New creates a memtap for the given VM, dialing the memory server at
@@ -417,47 +396,20 @@ func (m *Memtap) Resilience() memserver.ResilienceStats {
 	return memserver.ResilienceStats{}
 }
 
-// FetchPage implements hypervisor.Pager. Concurrent faults on the same
-// PFN are deduplicated single-flight: the first caller (the leader)
-// performs the remote fetch; the rest wait and share its page and error.
-// Only the leader's fetch is counted in Faults/FetchedBytes — the page is
-// installed once, so the accounting stays exact — while coalesced waiters
-// tick the dedup counter. Each leader fault feeds the live latency
-// histogram and (sampled) a telemetry.FaultPath span with the stage
-// breakdown fault → tap_lookup → remote_fetch → decompress → resolve.
+// FetchPage implements hypervisor.Pager with one remote fetch and no
+// per-PFN state, so faults on distinct PFNs proceed in parallel;
+// concurrent faults on one PFN are coalesced by the hypervisor before
+// they get here.
+// Each fault feeds the live latency histogram and (sampled) a
+// telemetry.FaultPath span with the stage breakdown fault → tap_lookup →
+// remote_fetch → decompress → resolve.
 func (m *Memtap) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 	if id != m.vmid {
 		return nil, fmt.Errorf("memtap: configured for vm %04d, asked for %04d", m.vmid, id)
 	}
-	m.sfMu.Lock()
-	if c, ok := m.inflight[pfn]; ok {
-		m.sfMu.Unlock()
-		m.dedup.Add(1)
-		tel.dedup.Inc()
-		<-c.done
-		return c.page, c.err
-	}
-	c := &fetchCall{done: make(chan struct{})}
-	m.inflight[pfn] = c
-	m.sfMu.Unlock()
 	tel.inflight.Inc()
+	defer tel.inflight.Dec()
 
-	c.page, c.err = m.fetchRemote(id, pfn)
-
-	// Deregister before waking the waiters: a fault arriving after this
-	// point starts a fresh fetch (the page may have been evicted again),
-	// while every waiter that joined this call gets this result.
-	m.sfMu.Lock()
-	delete(m.inflight, pfn)
-	m.sfMu.Unlock()
-	tel.inflight.Dec()
-	close(c.done)
-	return c.page, c.err
-}
-
-// fetchRemote performs one remote page fetch with tracing and accounting
-// (the single-flight leader's path).
-func (m *Memtap) fetchRemote(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 	start := time.Now()
 	span := telemetry.FaultPath.Start("fault")
 	span.Stage("tap_lookup")
@@ -497,13 +449,15 @@ func (m *Memtap) fetchRemote(id pagestore.VMID, pfn pagestore.PFN) ([]byte, erro
 	return page, nil
 }
 
-// Faults returns the number of remote fetches that serviced faults
-// (coalesced waiters are not double-counted; see DedupedFaults).
+// Faults returns the number of remote fetches that serviced faults.
 func (m *Memtap) Faults() int64 { return m.faults.Load() }
 
-// DedupedFaults returns how many concurrent faults were coalesced onto an
-// already in-flight fetch of the same PFN.
-func (m *Memtap) DedupedFaults() int64 { return m.dedup.Load() }
+// DedupedFaults returns 0.
+//
+// Deprecated: concurrent faults on one PFN are coalesced before the
+// pager, so none reach memtap to be deduplicated; use
+// hypervisor.PartialVM.CoalescedFaults for the count.
+func (m *Memtap) DedupedFaults() int64 { return 0 }
 
 // FetchedBytes returns the uncompressed bytes actually installed into the
 // VM (on-demand faults plus prefetch installs; pages the prefetcher lost

@@ -254,7 +254,7 @@ func TestSingleFlightUnderChaos(t *testing.T) {
 		t.Errorf("present pages %d, want exactly the touched window (duplicate or lost install)",
 			pvm.PresentPages())
 	}
-	if mt.DedupedFaults() == 0 {
+	if pvm.CoalescedFaults() == 0 {
 		t.Error("no fault collisions coalesced; the stress pattern lost its teeth")
 	}
 }

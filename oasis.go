@@ -2,7 +2,6 @@ package oasis
 
 import (
 	"io"
-	"time"
 
 	"oasis/internal/cluster"
 	"oasis/internal/hypervisor"
@@ -209,18 +208,6 @@ func NewMemServer(secret []byte, logf func(string, ...any)) *MemServer {
 // MemClient is an authenticated connection to a memory page server.
 type MemClient = memserver.Client
 
-// DialMemServer connects and authenticates to a memory server.
-//
-// Deprecated: use Dial with WithTimeout; with no other options it
-// returns the same bare *MemClient.
-func DialMemServer(addr string, secret []byte, timeout time.Duration) (*MemClient, error) {
-	c, err := Dial(addr, secret, WithTimeout(timeout))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*MemClient), nil
-}
-
 // ---- Resilient client path (fault tolerance) ----
 
 // ResilientMemClient wraps MemClient with reconnect, bounded retries of
@@ -242,18 +229,6 @@ var ErrCircuitOpen = memserver.ErrCircuitOpen
 // ErrMemtapDegraded wraps page-fetch errors once a memtap's breaker has
 // opened; the VM should be force-promoted to its home (full migration).
 var ErrMemtapDegraded = memtap.ErrDegraded
-
-// DialMemServerResilient connects with the resilient client. The zero
-// config selects defaults.
-//
-// Deprecated: use Dial with WithResilience.
-func DialMemServerResilient(addr string, secret []byte, cfg ResilienceConfig) (*ResilientMemClient, error) {
-	c, err := Dial(addr, secret, WithResilience(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ResilientMemClient), nil
-}
 
 // Memtap services the page faults of one partial VM from a memory server
 // (§4.2).
@@ -280,18 +255,6 @@ type MemClientPool = memserver.ClientPool
 // MemPoolConfig sizes a MemClientPool and tunes its per-connection
 // resilience; the zero value selects defaults.
 type MemPoolConfig = memserver.PoolConfig
-
-// DialMemServerPool connects a pool of resilient clients to a memory
-// server. The zero config selects defaults (4 connections).
-//
-// Deprecated: use Dial with WithPool and WithResilience.
-func DialMemServerPool(addr string, secret []byte, cfg MemPoolConfig) (*MemClientPool, error) {
-	c, err := Dial(addr, secret, WithResilience(cfg.Resilience), WithPool(cfg.Size))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*MemClientPool), nil
-}
 
 // MemtapOptions tunes a memtap's transport: connection-pool width,
 // pipelined prefetch depth, and per-connection resilience.
