@@ -46,39 +46,22 @@ func main() {
 		// control-plane stress benchmark, anything else (including the
 		// default "all") keeps the original reattach benchmark.
 		var (
-			bench   any
-			speedup float64
-			err     error
+			bench any
+			err   error
 		)
 		switch strings.ToLower(*experiment) {
 		case "sim":
-			var b experiments.FleetBench
-			b, err = experiments.Fleet(opt)
-			if err == nil && len(b.WorkerRuns) > 1 {
-				bench, speedup = b, b.WorkerRuns[0].ElapsedSec/b.WorkerRuns[len(b.WorkerRuns)-1].ElapsedSec
-			} else {
-				bench = b
-			}
+			bench, err = experiments.Fleet(opt)
 		case "cluster":
-			var b experiments.ClusterBench
-			b, err = experiments.ClusterStress(opt)
-			bench, speedup = b, b.MeasuredGate.Ratio
+			bench, err = experiments.ClusterStress(opt)
 		case "detach":
-			var b experiments.DetachBench
-			b, err = experiments.Detach(opt)
-			bench, speedup = b, b.Model.Speedup
+			bench, err = experiments.Detach(opt)
 		case "shard":
-			var b experiments.ShardBench
-			b, err = experiments.Shard(opt)
-			bench, speedup = b, b.Model.Speedup
+			bench, err = experiments.Shard(opt)
 		case "rebalance":
-			var b experiments.RebalanceBench
-			b, err = experiments.Rebalance(opt)
-			bench, speedup = b, b.Model.Speedup
+			bench, err = experiments.Rebalance(opt)
 		default:
-			var b experiments.ReattachBench
-			b, err = experiments.Reattach(opt)
-			bench, speedup = b, b.Model.Speedup
+			bench, err = experiments.Reattach(opt)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -93,7 +76,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (modeled speedup %.2fx)\n", *jsonOut, speedup)
+		fmt.Printf("wrote %s\n", *jsonOut)
 		// Benchmarks that embed a measured acceptance gate decide the exit
 		// status: CI runs the bench and fails the build when the measured
 		// comparison regresses past the noise floor.

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"oasis"
-	"oasis/internal/flagbind"
 )
 
 func parsePolicy(s string) (oasis.Policy, error) {
@@ -52,7 +51,6 @@ func main() {
 		series = flag.Bool("series", false, "print the hourly active/powered series")
 		events = flag.Int("events", 0, "record and print the last N manager decisions")
 		msMTBF = flag.Duration("ms-mtbf", 0, "inject memory-server outages with this mean time between failures per serving server (0 disables)")
-		shards = flag.Int("shards", 0, "model a sharded memory-server fabric with this many backends (<=1 keeps the single host-local server)")
 
 		scenarioSpec = flag.String("scenario", "", "run a fleet scenario: name[,key=value,...] ('list' prints the library); see README")
 		users        = flag.Int("users", 0, "fleet mode: total simulated users, sharded into independent cells (0 keeps the single-cluster mode unless -scenario is given)")
@@ -60,12 +58,6 @@ func main() {
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while the simulation runs (empty disables); see OBSERVABILITY.md")
 	)
-	// The transport knobs come from the shared binding (-prefetch-streams
-	// and -upload-streams drive the model; -pool/-backends/-replicas are
-	// accepted for flag parity with the daemons but the simulator keys the
-	// fabric off -shards, or off the -backends count when -shards is unset).
-	var transport flagbind.Transport
-	flagbind.BindTransport(flag.CommandLine, &transport)
 	flag.Parse()
 
 	if *metricsAddr != "" {
@@ -104,12 +96,6 @@ func main() {
 	cfg.TraceSeed = *seed
 	cfg.Cluster.EventLogSize = *events
 	cfg.Cluster.MemServerMTBF = *msMTBF
-	cfg.Cluster.Model.PrefetchStreams = transport.PrefetchStreams
-	cfg.Cluster.Model.UploadStreams = transport.UploadStreams
-	cfg.Cluster.Model.Shards = *shards
-	if *shards == 0 && transport.Sharded() {
-		cfg.Cluster.Model.Shards = len(transport.Backends)
-	}
 	cfg.Kind = oasis.Weekday
 	if strings.ToLower(*kind) == "weekend" {
 		cfg.Kind = oasis.Weekend
@@ -139,14 +125,6 @@ func main() {
 		r.Stats.NetworkBytes(), r.Stats.FullBytes, r.Stats.DescriptorBytes,
 		r.Stats.OnDemandBytes, r.Stats.ReintegrateBytes)
 	fmt.Printf("  operations: %v\n", r.Stats.Ops)
-	if transport.UploadStreams > 1 && r.Stats.DetachSample.N() > 0 {
-		fmt.Printf("  detach windows (×%d upload streams): mean %.2fs, max %.2fs over %d detaches\n",
-			transport.UploadStreams, r.Stats.DetachSample.Mean(), r.Stats.DetachSample.Max(), r.Stats.DetachSample.N())
-	}
-	if cfg.Cluster.Model.Shards > 1 && r.Stats.ShardSample.N() > 0 {
-		fmt.Printf("  shard windows (×%d backends): mean %.2fs, max %.2fs over %d detaches\n",
-			cfg.Cluster.Model.Shards, r.Stats.ShardSample.Mean(), r.Stats.ShardSample.Max(), r.Stats.ShardSample.N())
-	}
 	if *msMTBF > 0 {
 		// Print the fault-injection outcome straight from the live
 		// registry — the same oasis_sim_* values a -metrics-addr scrape
@@ -179,10 +157,16 @@ func main() {
 // through the deterministic parallel simulator. Single-cluster flags
 // (policy, home, cons, vms, seed, kind) override the scenario's cell
 // template only when given explicitly on the command line, so a bare
-// `-scenario flash-crowd` runs the library's defaults.
+// `-scenario flash-crowd` runs the library's defaults. Flags fleet mode
+// has no use for are refused rather than silently dropped.
 func runFleet(spec string, users, workers int, pol oasis.Policy, kind string, seed uint64, home, cons, vms int, series bool) {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if bad := singleClusterOnly(explicit); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "oasis-sim: %s not supported in fleet mode (-scenario/-users); "+
+			"fleet outages use the scenario keys outage_at_min and outage_frac\n", strings.Join(bad, ", "))
+		os.Exit(2)
+	}
 
 	var fc oasis.FleetConfig
 	if spec != "" {
@@ -252,4 +236,17 @@ func runFleet(spec string, users, workers int, pol oasis.Policy, kind string, se
 			fmt.Printf("%-6d %12.0f %14.1f\n", h, float64(act)/12, float64(pow)/12)
 		}
 	}
+}
+
+// singleClusterOnly returns, in a fixed order, the flags among explicit
+// that only the single-cluster mode reads: fault injection (-ms-mtbf),
+// multi-day averaging (-runs) and the decision log (-events).
+func singleClusterOnly(explicit map[string]bool) []string {
+	var bad []string
+	for _, name := range []string{"ms-mtbf", "runs", "events"} {
+		if explicit[name] {
+			bad = append(bad, "-"+name)
+		}
+	}
+	return bad
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]bool{
@@ -20,6 +23,27 @@ func TestParsePolicy(t *testing.T) {
 		}
 		if !ok && err == nil {
 			t.Errorf("parsePolicy(%q) accepted", in)
+		}
+	}
+}
+
+// TestSingleClusterOnly pins the fleet-mode refusal: each single-cluster
+// flag given explicitly is named, in a fixed order, and the flags fleet
+// mode does read pass through.
+func TestSingleClusterOnly(t *testing.T) {
+	cases := []struct {
+		explicit map[string]bool
+		want     []string
+	}{
+		{nil, nil},
+		{map[string]bool{"users": true, "seed": true, "policy": true, "series": true}, nil},
+		{map[string]bool{"users": true, "ms-mtbf": true}, []string{"-ms-mtbf"}},
+		{map[string]bool{"events": true, "runs": true, "ms-mtbf": true, "users": true},
+			[]string{"-ms-mtbf", "-runs", "-events"}},
+	}
+	for _, c := range cases {
+		if got := singleClusterOnly(c.explicit); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("singleClusterOnly(%v) = %v, want %v", c.explicit, got, c.want)
 		}
 	}
 }

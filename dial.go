@@ -29,8 +29,8 @@ type Transport = flagbind.Transport
 // BindTransportFlags registers the shared page-transport flags (-pool,
 // -prefetch-streams, -upload-streams, -backends, -replicas) on fs,
 // storing parsed values into t. Current field values of t become the
-// flag defaults. oasis-agentd, memtapctl and oasis-sim all parse their
-// transport knobs through this one binding.
+// flag defaults. oasis-agentd and memtapctl parse their transport knobs
+// through this one binding.
 func BindTransportFlags(fs *flag.FlagSet, t *Transport) { flagbind.BindTransport(fs, t) }
 
 // ShardClient is the sharded, replicated memory-server fabric client:

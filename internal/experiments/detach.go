@@ -7,25 +7,10 @@ import (
 	"sync"
 
 	"oasis/internal/memserver"
-	"oasis/internal/migration"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
 )
-
-// DetachModel is the modeled (GigE testbed) half of the detach benchmark:
-// deterministic upload pages/sec from the §4.3/§4.4 calibration, serial
-// vs the parallel detach pipeline (sharded encode + chunked streams).
-type DetachModel struct {
-	Network             string  `json:"network"`
-	UploadStreams       int     `json:"upload_streams"`
-	InstallOverheadFrac float64 `json:"install_overhead_frac"`
-	SerialPagesPerSec   float64 `json:"serial_pages_per_sec"`
-	StreamedPagesPerSec float64 `json:"streamed_pages_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	Serial4GiBSec       float64 `json:"detach_4gib_serial_sec"`
-	Streamed4GiBSec     float64 `json:"detach_4gib_streamed_sec"`
-}
 
 // DetachMeasured is one measured loopback transport: a real memory
 // server, the image encoded (serial or sharded) and uploaded (PutImage
@@ -41,15 +26,13 @@ type DetachMeasured struct {
 }
 
 // DetachBench is the full benchmark result; oasis-bench -json with
-// -experiment detach writes it as BENCH_detach.json. The modeled section
-// is the deterministic GigE/SAS calibration; the measured section is a
-// best-of-N loopback run on the build machine, and MeasuredGate is the
-// acceptance comparison the tests and CI assert: streamed upload
+// -experiment detach writes it as BENCH_detach.json. The measured section
+// is a best-of-N loopback run on the build machine, and MeasuredGate is
+// the acceptance comparison the tests and CI assert: streamed upload
 // throughput must be at least measuredNoiseFloor x serial (see PERFORMANCE.md).
 type DetachBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
-	Model        DetachModel      `json:"model"`
 	Measured     []DetachMeasured `json:"measured_loopback"`
 	MeasuredGate Gate             `json:"measured_gate"`
 	Note         string           `json:"note"`
@@ -64,30 +47,14 @@ func (b DetachBench) GateResult() Gate { return b.MeasuredGate }
 const detachStreams = memserver.DefaultPoolSize
 
 // Detach runs the parallel detach-pipeline benchmark (§4.3 pre-suspend
-// upload): the modeled GigE comparison plus two measured loopback runs,
-// serial (one PutImage over one connection) vs streamed (sharded encode,
-// chunked upload over detachStreams lanes).
+// upload): two measured loopback runs, serial (one PutImage over one
+// connection) vs streamed (sharded encode, chunked upload over
+// detachStreams lanes).
 func Detach(opt Option) (DetachBench, error) {
-	m := migration.MicroBenchModel()
-	serialPps := float64(m.DetachThroughput()) / float64(units.PageSize)
-	m.UploadStreams = detachStreams
-	streamedPps := float64(m.DetachThroughput()) / float64(units.PageSize)
-	image := float64(4 * units.GiB / units.PageSize)
-
 	out := DetachBench{
 		Experiment: "detach",
 		BenchMeta:  benchMeta(),
-		Model: DetachModel{
-			Network:             "SAS link to the host's memory server (§4.3 testbed)",
-			UploadStreams:       detachStreams,
-			InstallOverheadFrac: 1.0,
-			SerialPagesPerSec:   serialPps,
-			StreamedPagesPerSec: streamedPps,
-			Speedup:             streamedPps / serialPps,
-			Serial4GiBSec:       image / serialPps,
-			Streamed4GiBSec:     image / streamedPps,
-		},
-		Note: fmt.Sprintf("model is deterministic (calibrated SAS); measured_loopback is best-of-%d on the build machine", benchRuns),
+		Note:       fmt.Sprintf("measured_loopback is best-of-%d on the build machine", benchRuns),
 	}
 
 	measured, err := measureDetach(opt.Seed)
@@ -233,12 +200,6 @@ func DetachReport(opt Option) Report {
 		fmt.Fprintf(&b, "benchmark failed: %v\n", err)
 		return Report{ID: "detach", Title: "Parallel detach-pipeline upload benchmark", Text: b.String()}
 	}
-	fmt.Fprintf(&b, "modeled %s, install overhead %.1fx wire time:\n", r.Model.Network, r.Model.InstallOverheadFrac)
-	fmt.Fprintf(&b, "%-24s %16s %16s\n", "pipeline", "pages/sec", "4 GiB detach")
-	fmt.Fprintf(&b, "%-24s %16.0f %15.1fs\n", "serial (1 stream)", r.Model.SerialPagesPerSec, r.Model.Serial4GiBSec)
-	fmt.Fprintf(&b, "%-24s %16.0f %15.1fs\n",
-		fmt.Sprintf("streamed (%d streams)", r.Model.UploadStreams), r.Model.StreamedPagesPerSec, r.Model.Streamed4GiBSec)
-	fmt.Fprintf(&b, "modeled speedup: %.2fx\n", r.Model.Speedup)
 	fmt.Fprintf(&b, "measured on loopback (32 MiB incompressible image, best of %d):\n", r.Runs)
 	fmt.Fprintf(&b, "%-24s %12s %12s %16s\n", "pipeline", "encode", "upload", "upload pg/s")
 	for _, meas := range r.Measured {

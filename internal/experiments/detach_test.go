@@ -2,8 +2,7 @@ package experiments
 
 import "testing"
 
-// TestDetachBenchAcceptance pins the upload benchmark's gates: the
-// modeled SAS comparison must keep its calibrated speedup, and on the
+// TestDetachBenchAcceptance pins the upload benchmark's gate: on the
 // measured loopback runs the streamed pipeline must move at least
 // measuredNoiseFloor x the serial pages/sec (the noise floor; see PERFORMANCE.md).
 func TestDetachBenchAcceptance(t *testing.T) {
@@ -19,9 +18,6 @@ func TestDetachBenchAcceptance(t *testing.T) {
 	}
 	if b.Runs != benchRuns {
 		t.Fatalf("runs_per_transport = %d, want %d", b.Runs, benchRuns)
-	}
-	if b.Model.Speedup < 1.8 {
-		t.Fatalf("modeled streamed/serial speedup = %.2fx, want >= 1.8x", b.Model.Speedup)
 	}
 	if len(b.Measured) != 2 {
 		t.Fatalf("measured %d transports, want serial and streamed", len(b.Measured))

@@ -10,25 +10,10 @@ import (
 	"oasis/internal/memserver"
 	"oasis/internal/memtap"
 	"oasis/internal/metrics"
-	"oasis/internal/migration"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
 )
-
-// ReattachModel is the modeled (GigE testbed) half of the transport
-// benchmark: deterministic pages/sec from the §4.4 calibration, serial
-// vs pipelined.
-type ReattachModel struct {
-	Network             string  `json:"network"`
-	PrefetchStreams     int     `json:"prefetch_streams"`
-	InstallOverheadFrac float64 `json:"install_overhead_frac"`
-	SerialPagesPerSec   float64 `json:"serial_pages_per_sec"`
-	PooledPagesPerSec   float64 `json:"pooled_pages_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	Serial4GiBSec       float64 `json:"reattach_4gib_serial_sec"`
-	Pooled4GiBSec       float64 `json:"reattach_4gib_pooled_sec"`
-}
 
 // ReattachMeasured is one measured loopback transport: a real memory
 // server, a real memtap, faults then a full partial→full conversion,
@@ -44,15 +29,13 @@ type ReattachMeasured struct {
 }
 
 // ReattachBench is the full benchmark result; oasis-bench -json writes it
-// as BENCH_reattach.json. The modeled section is the deterministic GigE
-// calibration (pooled >= 2x serial); the measured section is a best-of-N
-// loopback run on the build machine, and MeasuredGate is the acceptance
+// as BENCH_reattach.json. The measured section is a best-of-N loopback
+// run on the build machine, and MeasuredGate is the acceptance
 // comparison the tests and CI assert: pooled prefetch throughput must be
 // at least measuredNoiseFloor x serial (see PERFORMANCE.md).
 type ReattachBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
-	Model        ReattachModel      `json:"model"`
 	Measured     []ReattachMeasured `json:"measured_loopback"`
 	MeasuredGate Gate               `json:"measured_gate"`
 	Note         string             `json:"note"`
@@ -67,29 +50,13 @@ func (b ReattachBench) GateResult() Gate { return b.MeasuredGate }
 const reattachStreams = memserver.DefaultPoolSize
 
 // Reattach runs the parallel page-transport benchmark (§4.4.4 reattach
-// path): the modeled GigE comparison plus two measured loopback runs,
-// serial (1 connection, 1 stream) vs pooled (DefaultPoolSize of each).
+// path): two measured loopback runs, serial (1 connection, 1 stream) vs
+// pooled (DefaultPoolSize of each).
 func Reattach(opt Option) (ReattachBench, error) {
-	m := migration.MicroBenchModel()
-	serialPps := float64(m.PrefetchThroughput()) / float64(units.PageSize)
-	m.PrefetchStreams = reattachStreams
-	pooledPps := float64(m.PrefetchThroughput()) / float64(units.PageSize)
-	remaining := float64(4 * units.GiB / units.PageSize)
-
 	out := ReattachBench{
 		Experiment: "reattach",
 		BenchMeta:  benchMeta(),
-		Model: ReattachModel{
-			Network:             "1 GigE (§4.4 testbed)",
-			PrefetchStreams:     reattachStreams,
-			InstallOverheadFrac: 1.0,
-			SerialPagesPerSec:   serialPps,
-			PooledPagesPerSec:   pooledPps,
-			Speedup:             pooledPps / serialPps,
-			Serial4GiBSec:       remaining / serialPps,
-			Pooled4GiBSec:       remaining / pooledPps,
-		},
-		Note: fmt.Sprintf("model is deterministic (calibrated GigE); measured_loopback is best-of-%d on the build machine", benchRuns),
+		Note:       fmt.Sprintf("measured_loopback is best-of-%d on the build machine", benchRuns),
 	}
 
 	measured, err := measureReattach(opt.Seed)
@@ -239,12 +206,6 @@ func ReattachReport(opt Option) Report {
 		fmt.Fprintf(&b, "benchmark failed: %v\n", err)
 		return Report{ID: "reattach", Title: "Parallel page-transport reattach benchmark", Text: b.String()}
 	}
-	fmt.Fprintf(&b, "modeled %s, install overhead %.1fx wire time:\n", r.Model.Network, r.Model.InstallOverheadFrac)
-	fmt.Fprintf(&b, "%-24s %16s %16s\n", "transport", "pages/sec", "4 GiB reattach")
-	fmt.Fprintf(&b, "%-24s %16.0f %15.1fs\n", "serial (1 stream)", r.Model.SerialPagesPerSec, r.Model.Serial4GiBSec)
-	fmt.Fprintf(&b, "%-24s %16.0f %15.1fs\n",
-		fmt.Sprintf("pooled (%d streams)", r.Model.PrefetchStreams), r.Model.PooledPagesPerSec, r.Model.Pooled4GiBSec)
-	fmt.Fprintf(&b, "modeled speedup: %.2fx\n", r.Model.Speedup)
 	fmt.Fprintf(&b, "measured on loopback (32 MiB image, best of %d):\n", r.Runs)
 	fmt.Fprintf(&b, "%-24s %14s %14s %16s\n", "transport", "fault p50", "fault p99", "prefetch pg/s")
 	for _, meas := range r.Measured {

@@ -8,7 +8,6 @@ import (
 
 	"oasis/internal/memserver"
 	"oasis/internal/memserver/shard"
-	"oasis/internal/migration"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
@@ -20,18 +19,6 @@ const (
 	shardBackends = 3
 	shardReplicas = 2
 )
-
-// ShardModel is the deterministic half of the shard benchmark: the
-// detach window of a 4 GiB partial migration against one memory server
-// vs a fabric of concurrently-ingesting backends
-// (migration.Model.ShardWindow on the §4.4 testbed calibration).
-type ShardModel struct {
-	Backends         int     `json:"backends"`
-	Replicas         int     `json:"replicas"`
-	SerialDetachSec  float64 `json:"detach_4gib_serial_sec"`
-	ShardedDetachSec float64 `json:"detach_4gib_sharded_sec"`
-	Speedup          float64 `json:"speedup"`
-}
 
 // ShardMeasured is one measured loopback run: a real 3-backend 2-replica
 // fabric, a seeded image streamed through it, one backend killed, and
@@ -55,35 +42,23 @@ type ShardMeasured struct {
 // with -json writes it as BENCH_shard.json.
 type ShardBench struct {
 	Experiment string        `json:"experiment"`
-	Model      ShardModel    `json:"model"`
 	Measured   ShardMeasured `json:"measured_loopback"`
 	Note       string        `json:"note"`
 }
 
-// Shard runs the sharded memory-server fabric benchmark: the modeled
-// detach-window comparison plus a measured loopback kill-one-backend
-// run proving zero failed reads and bit-identical reassembly.
+// Shard runs the sharded memory-server fabric benchmark: a measured
+// loopback kill-one-backend run proving zero failed reads and
+// bit-identical reassembly.
 func Shard(opt Option) (ShardBench, error) {
-	m := migration.MicroBenchModel()
-	op := m.PartialMigration(4*units.GiB, 16*units.MiB, true)
-	m.Shards = shardBackends
-	out := ShardBench{
-		Experiment: "shard",
-		Model: ShardModel{
-			Backends:         shardBackends,
-			Replicas:         shardReplicas,
-			SerialDetachSec:  op.Latency.Seconds(),
-			ShardedDetachSec: m.ShardWindow(op).Seconds(),
-			Speedup:          op.Latency.Seconds() / m.ShardWindow(op).Seconds(),
-		},
-		Note: "model is deterministic (calibrated SAS); measured_loopback is one run on the build machine",
-	}
 	meas, err := measureShard(opt.Seed)
 	if err != nil {
 		return ShardBench{}, err
 	}
-	out.Measured = meas
-	return out, nil
+	return ShardBench{
+		Experiment: "shard",
+		Measured:   meas,
+		Note:       "measured_loopback is one run on the build machine",
+	}, nil
 }
 
 // measureShard stands up a loopback 3-backend fabric, streams a seeded
@@ -231,12 +206,6 @@ func ShardReport(opt Option) Report {
 		fmt.Fprintf(&b, "benchmark failed: %v\n", err)
 		return Report{ID: "shard", Title: "Sharded memory-server fabric benchmark", Text: b.String()}
 	}
-	fmt.Fprintf(&b, "modeled 4 GiB detach window (§4.4 testbed calibration):\n")
-	fmt.Fprintf(&b, "%-28s %14s\n", "memory-server tier", "detach window")
-	fmt.Fprintf(&b, "%-28s %13.1fs\n", "single server", r.Model.SerialDetachSec)
-	fmt.Fprintf(&b, "%-28s %13.1fs\n",
-		fmt.Sprintf("fabric (%d backends, R=%d)", r.Model.Backends, r.Model.Replicas), r.Model.ShardedDetachSec)
-	fmt.Fprintf(&b, "modeled speedup: %.2fx\n", r.Model.Speedup)
 	m := r.Measured
 	fmt.Fprintf(&b, "measured on loopback (32 MiB image, %d backends, R=%d):\n", m.Backends, m.Replicas)
 	fmt.Fprintf(&b, "  upload: %d pages in %.1fms (%.0f pages/sec, %d-way replicated)\n",

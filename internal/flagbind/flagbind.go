@@ -1,9 +1,9 @@
 // Package flagbind is the single definition of the page-transport
-// tuning surface and its command-line binding. Before it existed,
-// oasis-agentd, memtapctl and oasis-sim each hand-rolled the same
-// -pool/-prefetch-streams/-upload-streams parsing and the knobs drifted
-// per binary; now every daemon binds the one Transport struct and the
-// agent, memtap and facade consume it directly.
+// tuning surface and its command-line binding. oasis-agentd and
+// memtapctl bind the one Transport struct instead of hand-rolling the
+// -pool/-prefetch-streams/-upload-streams parsing, and the agent, memtap
+// and facade consume it directly. The simulator binds none of it: its
+// transport costs are calibrated constants.
 package flagbind
 
 import (
